@@ -18,8 +18,7 @@
 //!    * `E2C_DURATION` — seconds per run (paper: 1380).
 //!
 //! The benchmark API honors `E2C_BENCH_WARMUP` / `E2C_BENCH_ITERS` the
-//! same way (see [`BenchPolicy::from_env`]). `cargo bench -p e2c-bench`
-//! additionally runs Criterion micro-benchmarks over the substrates.
+//! same way (see [`BenchPolicy::from_env`]).
 
 pub mod harness;
 pub mod suite;

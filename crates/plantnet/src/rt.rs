@@ -12,14 +12,13 @@ use crate::config::PoolConfig;
 use crate::model::EngineModel;
 use e2c_metrics::{OnlineStats, Summary};
 use e2c_workload::RateSchedule;
-use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Counting semaphore (parking-lot mutex + condvar).
+/// Counting semaphore (mutex + condvar).
 pub struct Semaphore {
     permits: Mutex<usize>,
     cv: Condvar,
@@ -36,23 +35,23 @@ impl Semaphore {
 
     /// Block until a permit is available, then take it.
     pub fn acquire(&self) {
-        let mut p = self.permits.lock();
+        let mut p = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         while *p == 0 {
-            self.cv.wait(&mut p);
+            p = self.cv.wait(p).unwrap_or_else(PoisonError::into_inner);
         }
         *p -= 1;
     }
 
     /// Return a permit and wake one waiter.
     pub fn release(&self) {
-        let mut p = self.permits.lock();
+        let mut p = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         *p += 1;
         self.cv.notify_one();
     }
 
     /// Take a permit only if one is free right now (never blocks).
     pub fn try_acquire(&self) -> bool {
-        let mut p = self.permits.lock();
+        let mut p = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         if *p == 0 {
             return false;
         }
@@ -62,7 +61,7 @@ impl Semaphore {
 
     /// Current free permits (racy; diagnostics only).
     pub fn available(&self) -> usize {
-        *self.permits.lock()
+        *self.permits.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -92,7 +91,10 @@ pub struct RtEngine {
 impl RtEngine {
     /// An engine with scaled-down service times.
     pub fn new(config: PoolConfig, time_scale: f64) -> Self {
-        assert!(time_scale > 0.0, "time scale must be positive");
+        assert!(
+            time_scale.is_finite() && time_scale > 0.0,
+            "time scale must be positive and finite"
+        );
         RtEngine {
             config,
             model: EngineModel::default(),
@@ -120,7 +122,7 @@ impl RtEngine {
         // detlint: allow(DET002) real-time backend: this engine measures actual elapsed time by design (the DES backend is the reproducible path)
         let started = Instant::now();
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for c in 0..clients {
                 let http = http.clone();
                 let download = download.clone();
@@ -128,7 +130,7 @@ impl RtEngine {
                 let simsearch = simsearch.clone();
                 let stats = stats.clone();
                 let engine = *self;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     use e2c_des::Dist;
                     let mut rng = StdRng::seed_from_u64(seed ^ (c as u64) << 20);
                     let sample = |d: Dist, rng: &mut StdRng| -> f64 { d.sample(rng).max(1e-6) };
@@ -151,14 +153,16 @@ impl RtEngine {
                         http.release();
                         // Report response in *model* seconds (unscaled).
                         let resp = t0.elapsed().as_secs_f64() / engine.time_scale;
-                        stats.lock().push(resp);
+                        stats
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .push(resp);
                     }
                 });
             }
-        })
-        .expect("client thread panicked");
+        });
 
-        let stats = stats.lock();
+        let stats = stats.lock().unwrap_or_else(PoisonError::into_inner);
         RtMetrics {
             response: Summary::from(&*stats),
             completed: stats.count(),
@@ -205,7 +209,7 @@ impl RtEngine {
         // detlint: allow(DET002) real-time backend: this engine measures actual elapsed time by design (the DES backend is the reproducible path)
         let started = Instant::now();
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (i, at) in arrivals.iter().enumerate() {
                 let due = Duration::from_secs_f64(at.as_secs_f64() * self.time_scale);
                 let since = started.elapsed();
@@ -230,7 +234,7 @@ impl RtEngine {
                 let queued = queued.clone();
                 let slo_violations = slo_violations.clone();
                 let engine = *self;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     use e2c_des::Dist;
                     let mut rng = StdRng::seed_from_u64(seed ^ ((i as u64) << 20));
                     let sample = |d: Dist, rng: &mut StdRng| -> f64 { d.sample(rng).max(1e-6) };
@@ -258,13 +262,15 @@ impl RtEngine {
                     if resp > slo {
                         slo_violations.fetch_add(1, Ordering::SeqCst);
                     }
-                    stats.lock().push(resp);
+                    stats
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(resp);
                 });
             }
-        })
-        .expect("worker thread panicked");
+        });
 
-        let stats = stats.lock();
+        let stats = stats.lock().unwrap_or_else(PoisonError::into_inner);
         RtServingMetrics {
             offered,
             admitted,
@@ -306,12 +312,12 @@ mod tests {
         let sem = Arc::new(Semaphore::new(3));
         let running = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..12 {
                 let sem = sem.clone();
                 let running = running.clone();
                 let peak = peak.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     sem.acquire();
                     let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
@@ -320,10 +326,42 @@ mod tests {
                     sem.release();
                 });
             }
-        })
-        .unwrap();
+        });
         assert!(peak.load(Ordering::SeqCst) <= 3);
         assert_eq!(sem.available(), 3);
+    }
+
+    #[test]
+    fn semaphore_survives_a_panicking_permit_holder() {
+        // A thread that panics while holding the permits lock poisons the
+        // std mutex; every entry point must recover the guard instead of
+        // wedging the semaphore for the remaining threads.
+        let sem = Semaphore::new(2);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = sem.permits.lock();
+                    panic!("poison the permits lock");
+                })
+                .join()
+                .is_err()
+        });
+        assert!(panicked);
+        assert!(sem.permits.is_poisoned());
+        assert_eq!(sem.available(), 2);
+        sem.acquire();
+        assert!(sem.try_acquire());
+        assert!(!sem.try_acquire());
+        assert_eq!(sem.available(), 0);
+        sem.release();
+        sem.release();
+        assert_eq!(sem.available(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "time scale must be positive and finite")]
+    fn infinite_time_scale_rejected() {
+        RtEngine::new(PoolConfig::baseline(), f64::INFINITY);
     }
 
     #[test]

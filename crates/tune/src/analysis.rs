@@ -45,11 +45,12 @@ impl Analysis {
     }
 
     /// The trial with the best final value (respecting the mode); `None`
-    /// when every trial failed.
+    /// when every trial failed. A trial stopped early on a NaN report has
+    /// no comparable value and never wins.
     pub fn best_trial(&self) -> Option<&Trial> {
         self.trials
             .iter()
-            .filter_map(|t| t.value().map(|v| (t, v)))
+            .filter_map(|t| t.value().filter(|v| !v.is_nan()).map(|v| (t, v)))
             .min_by(|a, b| {
                 let (ka, kb) = match self.mode {
                     Mode::Min => (a.1, b.1),

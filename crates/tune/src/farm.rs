@@ -33,10 +33,8 @@ use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::clock;
 use crate::fault::RetryPolicy;
@@ -171,7 +169,7 @@ impl FarmInner {
     /// process already owns the slot and the event is ignored.
     fn lose_worker(&self, worker: usize, generation: u64, reason: &str) {
         let now = self.now_ms();
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if st.sup.generation(worker) != Some(generation)
             || matches!(st.sup.state(worker), Some(SlotState::Dead { .. }))
         {
@@ -233,7 +231,7 @@ impl WorkerFarm {
         for worker in 0..workers {
             match spawn_process(&inner.spec) {
                 Ok((proc, stdout)) => {
-                    let mut st = inner.state.lock();
+                    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
                     st.procs[worker] = Some(proc);
                     let generation = st.sup.generation(worker).unwrap_or(0);
                     let handle = spawn_reader(Arc::clone(&inner), worker, generation, stdout);
@@ -241,7 +239,7 @@ impl WorkerFarm {
                     spawned += 1;
                 }
                 Err(e) => {
-                    let mut st = inner.state.lock();
+                    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
                     let now = inner.epoch.elapsed().as_millis() as u64;
                     st.sup.lost(worker, now);
                     eprintln!("e2clab: farm: worker {worker} failed to spawn: {e}");
@@ -288,12 +286,20 @@ impl WorkerFarm {
         loop {
             let ticket = self.dispatch(trial, attempt, config, tracer.is_some())?;
             let outcome = {
-                let mut st = self.inner.state.lock();
+                let mut st = self
+                    .inner
+                    .state
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 loop {
                     if let Some(o) = st.results.remove(&ticket) {
                         break o;
                     }
-                    self.inner.cv.wait(&mut st);
+                    st = self
+                        .inner
+                        .cv
+                        .wait(st)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             };
             match outcome {
@@ -334,7 +340,7 @@ impl WorkerFarm {
         traced: bool,
     ) -> Result<u64, TrialError> {
         let inner = &self.inner;
-        let mut st = inner.state.lock();
+        let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
         let (worker, ticket) = loop {
             if let Some(pair) = st.sup.try_assign(inner.now_ms()) {
                 break pair;
@@ -345,7 +351,7 @@ impl WorkerFarm {
                      (trial {trial} attempt {attempt})"
                 )));
             }
-            inner.cv.wait(&mut st);
+            st = inner.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         };
         st.inflight.insert(ticket, (trial, attempt));
         let ask = WireMsg::Ask(WorkerAsk {
@@ -395,7 +401,11 @@ impl Drop for WorkerFarm {
         self.inner.down.store(true, Ordering::SeqCst);
         let mut children = Vec::new();
         {
-            let mut st = self.inner.state.lock();
+            let mut st = self
+                .inner
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             for proc in st.procs.iter_mut() {
                 if let Some(mut p) = proc.take() {
                     if let Some(mut stdin) = p.stdin.take() {
@@ -427,7 +437,14 @@ impl Drop for WorkerFarm {
                 }
             }
         }
-        let readers = std::mem::take(&mut self.inner.state.lock().readers);
+        let readers = std::mem::take(
+            &mut self
+                .inner
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .readers,
+        );
         for handle in readers {
             let _ = handle.join();
         }
@@ -500,14 +517,14 @@ fn spawn_reader(
                         return;
                     }
                     let now = inner.now_ms();
-                    let mut st = inner.state.lock();
+                    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
                     if st.sup.generation(worker) == Some(generation) {
                         st.sup.heartbeat(worker, now);
                     }
                 }
                 Ok(Some(WireMsg::Heartbeat { .. })) => {
                     let now = inner.now_ms();
-                    let mut st = inner.state.lock();
+                    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
                     if st.sup.generation(worker) == Some(generation) {
                         st.sup.heartbeat(worker, now);
                     }
@@ -597,7 +614,7 @@ fn route_result(
     outcome: impl FnOnce() -> AskOutcome,
 ) -> bool {
     let now = inner.now_ms();
-    let mut st = inner.state.lock();
+    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
     if st.sup.generation(worker) != Some(generation) {
         return false; // stale incarnation; a newer process owns the slot
     }
@@ -633,11 +650,17 @@ fn monitor_loop(inner: &Arc<FarmInner>) {
         std::thread::sleep(Duration::from_millis(50));
         let now = inner.now_ms();
         let (stalled, due) = {
-            let st = inner.state.lock();
+            let st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
             (st.sup.stalled(now), st.sup.due_respawns(now))
         };
         for worker in stalled {
-            let generation = inner.state.lock().sup.generation(worker).unwrap_or(0);
+            let generation = inner
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .sup
+                .generation(worker)
+                .unwrap_or(0);
             inner.lose_worker(worker, generation, "missed its heartbeat deadline");
         }
         for worker in due {
@@ -646,7 +669,7 @@ fn monitor_loop(inner: &Arc<FarmInner>) {
             }
             match spawn_process(&inner.spec) {
                 Ok((mut proc, stdout)) => {
-                    let mut st = inner.state.lock();
+                    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
                     if !matches!(st.sup.state(worker), Some(SlotState::Dead { .. })) {
                         // Someone revived the slot meanwhile; reap the
                         // spare process instead of leaking it.
@@ -666,7 +689,7 @@ fn monitor_loop(inner: &Arc<FarmInner>) {
                 Err(e) => {
                     // Burn one respawn and fall back into Dead with the
                     // next backoff (or terminally, if the budget is out).
-                    let mut st = inner.state.lock();
+                    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
                     let now = inner.now_ms();
                     st.sup.respawned(worker, now);
                     st.sup.lost(worker, now);

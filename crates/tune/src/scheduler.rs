@@ -1,7 +1,7 @@
 //! Trial schedulers: FIFO and AsyncHyperBand (ASHA).
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 /// Verdict for an intermediate report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,7 +13,8 @@ pub enum Decision {
 }
 
 /// Reacts to intermediate metric reports. Metric values arrive
-/// sign-normalized (smaller = better).
+/// sign-normalized (smaller = better). The early-stopping schedulers stop
+/// a trial on a NaN report and keep the value out of their state.
 pub trait Scheduler: Send + Sync {
     /// A trial reported `value` at iteration `iteration` (1-based).
     fn on_report(&self, trial_id: u64, iteration: u64, value: f64) -> Decision;
@@ -76,10 +77,13 @@ impl AsyncHyperBand {
 
 impl Scheduler for AsyncHyperBand {
     fn on_report(&self, _trial_id: u64, iteration: u64, value: f64) -> Decision {
+        if value.is_nan() {
+            return Decision::Stop;
+        }
         if iteration > self.max_t || !self.rung_levels().contains(&iteration) {
             return Decision::Continue;
         }
-        let mut rungs = self.rungs.lock();
+        let mut rungs = self.rungs.lock().unwrap_or_else(PoisonError::into_inner);
         let rung = rungs.entry(iteration).or_default();
         rung.push(value);
         // Require enough evidence before cutting anything: with fewer than
@@ -91,7 +95,7 @@ impl Scheduler for AsyncHyperBand {
         // Keep if within the best ceil(len/rf) values seen at this rung
         // (smaller is better).
         let mut sorted = rung.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN metric"));
+        sorted.sort_by(f64::total_cmp);
         let keep = sorted.len().div_ceil(rf);
         let cutoff = sorted[keep - 1];
         if value <= cutoff {
@@ -130,20 +134,23 @@ impl MedianStopping {
 
 impl Scheduler for MedianStopping {
     fn on_report(&self, trial_id: u64, iteration: u64, value: f64) -> Decision {
+        if value.is_nan() {
+            return Decision::Stop;
+        }
         let avg = {
-            let mut running = self.running.lock();
+            let mut running = self.running.lock().unwrap_or_else(PoisonError::into_inner);
             let entry = running.entry(trial_id).or_insert((0.0, 0));
             entry.0 += value;
             entry.1 += 1;
             entry.0 / entry.1 as f64
         };
-        let mut records = self.records.lock();
+        let mut records = self.records.lock().unwrap_or_else(PoisonError::into_inner);
         let at_iter = records.entry(iteration).or_default();
         let decision = if iteration < self.grace || at_iter.len() < self.min_samples {
             Decision::Continue
         } else {
             let mut sorted = at_iter.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN metric"));
+            sorted.sort_by(f64::total_cmp);
             let median = sorted[sorted.len() / 2];
             if avg > median {
                 Decision::Stop
@@ -286,5 +293,70 @@ mod tests {
         // average (0.6) beats the median, so it continues.
         s.on_report(2, 1, 1.0);
         assert_eq!(s.on_report(2, 2, 0.2), Decision::Continue);
+    }
+
+    #[test]
+    fn poisoned_rung_lock_recovers() {
+        // A holder that panics poisons the std mutex; the scheduler keeps
+        // the records and goes on deciding instead of wedging.
+        let s = AsyncHyperBand::new(1, 2, 8);
+        for (trial, v) in [(0, 1.0), (1, 1.1), (2, 1.2)] {
+            assert_eq!(s.on_report(trial, 1, v), Decision::Continue);
+        }
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = s.rungs.lock();
+                    panic!("poison the rung lock");
+                })
+                .join()
+                .is_err()
+        });
+        assert!(panicked);
+        assert!(s.rungs.is_poisoned());
+        assert_eq!(s.on_report(3, 1, 9.0), Decision::Stop);
+        assert_eq!(s.on_report(4, 1, 0.5), Decision::Continue);
+    }
+
+    /// Feeds `reports` to `s` and collects its decisions.
+    fn decisions(s: &dyn Scheduler, reports: &[(u64, u64, f64)]) -> Vec<Decision> {
+        reports
+            .iter()
+            .map(|&(trial, iteration, value)| s.on_report(trial, iteration, value))
+            .collect()
+    }
+
+    /// A finite report stream that both cuts and keeps trials at
+    /// iterations 1 and 2 (ASHA rungs with grace 1, rf 2).
+    fn finite_reports() -> Vec<(u64, u64, f64)> {
+        [1.0, 9.0, 1.2, 7.0, 0.5, 8.0, 1.1, 0.7]
+            .into_iter()
+            .zip(0u64..)
+            .flat_map(|(v, trial)| [(trial, 1, v), (trial, 2, v * 0.9)])
+            .collect()
+    }
+
+    #[test]
+    fn nan_report_stops_and_leaves_no_trace() {
+        let schedulers: [fn() -> Box<dyn Scheduler>; 2] = [
+            || Box::new(AsyncHyperBand::new(1, 2, 8)),
+            || Box::new(MedianStopping::new(1, 2)),
+        ];
+        for make in schedulers {
+            let fresh = make();
+            let expected = decisions(&*fresh, &finite_reports());
+            assert!(expected.contains(&Decision::Stop));
+            assert!(expected.contains(&Decision::Continue));
+            let poisoned = make();
+            // NaN from a trial that later reports finite values, and
+            // from one that never does, at rung and off-rung iterations.
+            for (trial, iteration) in [(0, 1), (0, 2), (99, 1), (99, 3)] {
+                assert_eq!(
+                    poisoned.on_report(trial, iteration, f64::NAN),
+                    Decision::Stop
+                );
+            }
+            assert_eq!(decisions(&*poisoned, &finite_reports()), expected);
+        }
     }
 }

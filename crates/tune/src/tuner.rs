@@ -30,11 +30,10 @@ use crate::searcher::Searcher;
 use crate::trial::{Attempt, Trial, TrialError, TrialStatus};
 use e2c_optim::space::Point;
 use e2c_trace::Fields;
-use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How often the watchdog sweeps running attempts for blown deadlines.
@@ -399,14 +398,18 @@ impl Tuner {
         let (seq, trials, worst_seen) = (&seq, &trials, &worst_seen);
         let (live_workers, watch) = (&live_workers, &watch);
 
-        let scoped = crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             // Deadline watchdog: sweeps running attempts and flags the
             // overdue ones so cooperative objectives bail out promptly.
             if self.time_budget.is_some() {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     while live_workers.load(Ordering::SeqCst) > 0 {
                         let now = clock::now();
-                        for entry in watch.lock().values() {
+                        for entry in watch
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .values()
+                        {
                             if now >= entry.deadline {
                                 entry.expired.store(true, Ordering::SeqCst);
                             }
@@ -417,14 +420,14 @@ impl Tuner {
                 });
             }
             for _ in 0..self.workers {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let work = || loop {
                         // ---- dispatch: claim a trial under the sequencer
                         // lock. Dangling trials of a resumed run come
                         // first; fresh asks are admitted only while the
                         // in-flight window has room, so the journal's
                         // ask/commit permutation is canonical.
-                        let mut st = seq.state.lock();
+                        let mut st = seq.state.lock().unwrap_or_else(PoisonError::into_inner);
                         let (id, config, resumed) = loop {
                             if st.exhausted {
                                 return;
@@ -529,11 +532,15 @@ impl Tuner {
                                     }
                                 }
                             }
-                            seq.cv.wait_for(&mut st, SUGGEST_WAIT);
+                            st = seq
+                                .cv
+                                .wait_timeout(st, SUGGEST_WAIT)
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .0;
                         };
                         drop(st);
                         {
-                            let mut t = trials.lock();
+                            let mut t = trials.lock().unwrap_or_else(PoisonError::into_inner);
                             let mut trial = Trial::new(id, config.clone());
                             trial.status = TrialStatus::Running;
                             t.push(trial);
@@ -558,7 +565,7 @@ impl Tuner {
                             let expired = Arc::new(AtomicBool::new(false));
                             let deadline = self.time_budget.map(|b| clock::now() + b);
                             if let Some(d) = deadline {
-                                watch.lock().insert(
+                                watch.lock().unwrap_or_else(PoisonError::into_inner).insert(
                                     id,
                                     WatchEntry {
                                         deadline: d,
@@ -625,7 +632,10 @@ impl Tuner {
                                 None => run_objective(objective, &config, &mut ctx),
                             };
                             if deadline.is_some() {
-                                watch.lock().remove(&id);
+                                watch
+                                    .lock()
+                                    .unwrap_or_else(PoisonError::into_inner)
+                                    .remove(&id);
                             }
                             let secs = started.elapsed().as_secs_f64();
                             let overran = expired.load(Ordering::SeqCst)
@@ -690,7 +700,9 @@ impl Tuner {
                                         Mode::Max => -value,
                                     };
                                     {
-                                        let mut worst = worst_seen.lock();
+                                        let mut worst = worst_seen
+                                            .lock()
+                                            .unwrap_or_else(PoisonError::into_inner);
                                         *worst = worst.max(normalized);
                                     }
                                     let status = if stopped {
@@ -735,7 +747,7 @@ impl Tuner {
                         // also requires that no earlier ask is still
                         // admissible, so asks always journal before the
                         // commit they canonically precede.
-                        let mut st = seq.state.lock();
+                        let mut st = seq.state.lock().unwrap_or_else(PoisonError::into_inner);
                         while !(st.next_commit == id
                             && (st.next_ask >= id + workers
                                 || st.ask_parked
@@ -743,7 +755,11 @@ impl Tuner {
                                 || st.exhausted
                                 || st.next_ask >= num_samples))
                         {
-                            seq.cv.wait_for(&mut st, SUGGEST_WAIT);
+                            st = seq
+                                .cv
+                                .wait_timeout(st, SUGGEST_WAIT)
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .0;
                         }
                         let (status, feedback, final_reports) = if deferred {
                             if resumed {
@@ -816,7 +832,9 @@ impl Tuner {
                                         Mode::Max => -value,
                                     };
                                     {
-                                        let mut worst = worst_seen.lock();
+                                        let mut worst = worst_seen
+                                            .lock()
+                                            .unwrap_or_else(PoisonError::into_inner);
                                         *worst = worst.max(normalized);
                                     }
                                     (status, normalized)
@@ -949,7 +967,7 @@ impl Tuner {
                             // entry would mean the bookkeeping already lost
                             // the trial, and panicking here could not get it
                             // back.
-                            let mut t = trials.lock();
+                            let mut t = trials.lock().unwrap_or_else(PoisonError::into_inner);
                             if let Some(trial) = t.iter_mut().find(|tr| tr.id == id) {
                                 trial.reports = final_reports;
                                 trial.attempts = exec.into_iter().map(|ea| ea.attempt).collect();
@@ -962,14 +980,9 @@ impl Tuner {
                 });
             }
         });
-        if let Err(panic) = scoped {
-            // A worker thread died outside catch_unwind (tuner bug, not an
-            // objective failure): re-raise on the caller's thread instead
-            // of aborting with a bare expect.
-            std::panic::resume_unwind(panic);
-        }
 
-        let mut trials = std::mem::take(&mut *trials.lock());
+        let mut trials =
+            std::mem::take(&mut *trials.lock().unwrap_or_else(PoisonError::into_inner));
         trials.sort_by_key(|t| t.id);
         Analysis::new(self.name.clone(), self.metric.clone(), self.mode, trials)
     }
@@ -977,7 +990,7 @@ impl Tuner {
     /// Penalty fed to the searcher for failed trials: decisively worse
     /// than anything observed, but finite.
     fn failure_penalty(&self, worst_seen: &Mutex<f64>) -> f64 {
-        let worst = *worst_seen.lock();
+        let worst = *worst_seen.lock().unwrap_or_else(PoisonError::into_inner);
         if worst.is_finite() {
             worst + worst.abs().max(1.0)
         } else {
@@ -1158,6 +1171,38 @@ mod tests {
         for t in analysis.trials().iter().filter(|t| t.stopped_early()) {
             assert!(t.iterations() < max_full);
         }
+    }
+
+    #[test]
+    fn nan_report_is_stopped_and_the_run_completes() {
+        // Trial 2 reports NaN. ASHA stops it at its commit and keeps the
+        // value out of the rungs, so the later trials' rung decisions
+        // still sort cleanly and the run settles every trial.
+        let points: Vec<Point> = [4.0, 9.0, 13.0, 2.0, 15.0, 6.0, 11.0, 1.0]
+            .iter()
+            .map(|&x| vec![x])
+            .collect();
+        let tuner = Tuner::new(points.len(), 2, Mode::Min);
+        let analysis = tuner.run(
+            Box::new(GridSearch::from_points(space(), points)),
+            Arc::new(AsyncHyperBand::new(1, 2, 4)),
+            |cfg, ctx| {
+                let value = cfg[0];
+                let reported = if value == 13.0 { f64::NAN } else { value };
+                for _ in 0..4 {
+                    if ctx.report(reported) == Decision::Stop {
+                        break;
+                    }
+                }
+                value
+            },
+        );
+        assert_eq!(analysis.trials().len(), 8);
+        assert!(analysis.trials().iter().all(|t| t.status.is_finished()));
+        let nan_trial = &analysis.trials()[2];
+        assert!(nan_trial.stopped_early());
+        assert_eq!(nan_trial.iterations(), 1);
+        assert_eq!(analysis.best_trial().map(|t| t.id), Some(7));
     }
 
     #[test]

@@ -41,11 +41,10 @@
 use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use e2c_journal::wire::{escape, parse_f64, parse_u32, parse_u64, unescape};
-use parking_lot::Mutex;
 
 /// Bumped whenever the frame grammar changes; the farm refuses a worker
 /// whose `hello` does not match exactly.
@@ -352,7 +351,7 @@ where
 {
     let stdout = Arc::new(Mutex::new(std::io::stdout()));
     write_frame(
-        &mut *stdout.lock(),
+        &mut *stdout.lock().unwrap_or_else(PoisonError::into_inner),
         &WireMsg::Hello {
             version: PROTOCOL_VERSION,
         },
@@ -372,7 +371,12 @@ where
                     break;
                 }
                 seq += 1;
-                if write_frame(&mut *stdout.lock(), &WireMsg::Heartbeat { seq }).is_err() {
+                if write_frame(
+                    &mut *stdout.lock().unwrap_or_else(PoisonError::into_inner),
+                    &WireMsg::Heartbeat { seq },
+                )
+                .is_err()
+                {
                     break; // parent gone; the main loop will see EOF too
                 }
             }
@@ -413,7 +417,10 @@ where
                         payload: panic_payload(panic.as_ref()),
                     },
                 };
-                if let Err(e) = write_frame(&mut *stdout.lock(), &reply) {
+                if let Err(e) = write_frame(
+                    &mut *stdout.lock().unwrap_or_else(PoisonError::into_inner),
+                    &reply,
+                ) {
                     break Err(format!("write result: {e}"));
                 }
             }
